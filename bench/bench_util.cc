@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 #include "obs/export.h"
 #include "obs/registry.h"
@@ -77,8 +78,13 @@ bool JsonExportEnabled() { return Log().enabled; }
 void FinishBench() {
   RunLog& log = Log();
   if (!log.enabled) return;
+  // Stamp how the numbers were taken: a baseline is only comparable with
+  // runs of the same build type on as many hardware threads.
   std::string doc = "{\"bench\":\"" + obs::EscapeJson(log.bench_name) +
-                    "\",\"runs\":[";
+                    "\",\"build_type\":\"" + CAQP_BUILD_TYPE +
+                    "\",\"hardware_threads\":" +
+                    std::to_string(std::thread::hardware_concurrency()) +
+                    ",\"runs\":[";
   for (size_t i = 0; i < log.run_fragments.size(); ++i) {
     if (i) doc += ',';
     doc += log.run_fragments[i];

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Verification gate: tier-1 build + full test suite, then a second build
+# Verification gate: tier-1 build + full test suite, a Release (-O3)
+# compile under -Werror so every build type keeps compiling, then a build
 # with AddressSanitizer + UBSan (-DCAQP_SANITIZE=ON) re-running the tests
 # (including the fault-injection and serde byte-mutation fuzz suites, where
 # ASan catches OOB reads the Status paths might otherwise hide), then a
@@ -24,6 +25,10 @@ echo "== tier-1: regular build + ctest =="
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+echo "== Release build (compile only, -Werror) =="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release -j
 
 if [[ "$skip_san" == 1 ]]; then
   echo "== sanitizers skipped =="

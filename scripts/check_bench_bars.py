@@ -49,6 +49,15 @@ def load_gauges(path):
     return gauges
 
 
+def load_stamp(path):
+    """'<build type>, <n> threads' as the bench stamped it, if it did."""
+    with open(path) as f:
+        doc = json.load(f)
+    if "build_type" not in doc:
+        return "unstamped"
+    return f"{doc['build_type']}, {doc.get('hardware_threads', '?')} threads"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("results", help="bench --json-out file to check")
@@ -96,7 +105,9 @@ def main():
 
     if args.baseline:
         base = load_gauges(args.baseline)
-        print(f"\nvs baseline {args.baseline}:")
+        print(f"\nvs baseline {args.baseline} "
+              f"({load_stamp(args.baseline)}; this run: "
+              f"{load_stamp(args.results)}):")
         for name in sorted(set(gauges) & set(base)):
             cur, ref = gauges[name], base[name]
             if not isinstance(cur, (int, float)) or not ref:

@@ -108,7 +108,10 @@ std::shared_ptr<const CompiledPlan> Coordinator::BuildAndCompile(
   // Planning is serialized through the single builder; cache + single-flight
   // in front of this keep it off the steady-state path entirely.
   std::lock_guard<std::mutex> lock(builder_mu_);
-  CompiledPlan compiled = CompiledPlan::Compile(builder_->Build(query));
+  // Built from the canonical form the plan cache keys on, so the plan does
+  // not depend on the predicate order of whichever request built it.
+  CompiledPlan compiled =
+      CompiledPlan::Compile(builder_->Build(CanonicalizeQuery(query)));
   if (calibration_ != nullptr) {
     CondProbEstimator* estimator = builder_->CalibrationEstimator();
     if (estimator != nullptr) {

@@ -29,9 +29,10 @@ namespace caqp {
 ///   safe for concurrent use**:
 ///     * IndependentEstimator / ChowLiuEstimator — immutable after
 ///       construction, safe to share across threads.
-///     * DatasetEstimator — maintains a scope stack and scratch row buffer,
-///       NOT safe to share; give each thread its own instance (see
-///       serve/query_service.h's per-worker PlanBuilder bundles).
+///     * DatasetEstimator — memoizes the bits of its last scope next to its
+///       immutable index, NOT safe to share; give each thread its own
+///       instance (see serve/query_service.h's per-worker PlanBuilder
+///       bundles).
 ///   Diagnostics (planner_stats(), per-planner stats(), LastPlanCost())
 ///   describe the most recently *completed* build and are unsynchronized on
 ///   the read side: read them only while no build is in flight.

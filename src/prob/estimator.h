@@ -1,9 +1,9 @@
 // CondProbEstimator: the oracle interface the planners use for every
 // conditional probability (paper Sections 2.3 and 5). Implementations:
 //
-//  * DatasetEstimator     -- exact counting over a historical dataset, with
-//                            the per-subproblem row indices and incremental
-//                            histograms of Section 5.
+//  * DatasetEstimator     -- exact counting over a historical dataset
+//                            (Section 5) through an immutable bitmap index:
+//                            ANDs for subproblems, popcounts for counts.
 //  * IndependentEstimator -- attribute-independence approximation (the
 //                            assumption baked into the Naive optimizer);
 //                            useful as an ablation.
@@ -20,8 +20,9 @@
 // share across threads only if its implementation says so:
 //  * IndependentEstimator and ChowLiuEstimator mutate nothing after
 //    construction -- safe for concurrent use.
-//  * DatasetEstimator keeps a scope stack and a scratch row buffer -- NOT
-//    safe to share; use one instance per thread.
+//  * DatasetEstimator's bitmap index is immutable, but each instance keeps
+//    the bits of its last scope (a one-entry memo) -- NOT safe to share;
+//    use one instance per thread.
 // Planner thread safety (opt/planner.h) is exactly the thread safety of the
 // estimator the planner references.
 
@@ -82,9 +83,10 @@ class CondProbEstimator {
   }
 
   /// Optional scope hints: planners bracket their depth-first recursion with
-  /// Push/Pop so dataset-backed estimators can maintain an incremental stack
-  /// of row selections instead of re-filtering from the root. Estimators that
-  /// do not benefit ignore these.
+  /// Push/Pop, naming the subproblem the next queries condition on. The
+  /// in-tree estimators ignore them (DatasetEstimator memoizes the last
+  /// scope's bits instead); decorators may override them, e.g. to time the
+  /// recursion.
   virtual void PushScope(const RangeVec& /*ranges*/) {}
   virtual void PopScope() {}
 };

@@ -232,7 +232,8 @@ QueryService::Response QueryService::Handle(size_t worker_id,
     CAQP_OBS_SPAN(plan_span, "plan");
     if (options_.cache_capacity == 0) {
       // Plan-per-query baseline: no cache, no deduplication.
-      r.plan = CompileForServe(builder, builder.Build(query));
+      r.plan =
+          CompileForServe(builder, builder.Build(CanonicalizeQuery(query)));
       r.planned = true;
     } else {
       r.plan = cache_.Get(key);
@@ -248,7 +249,11 @@ QueryService::Response QueryService::Handle(size_t worker_id,
               // Compile once at insert time: every cached-path execution
               // after this runs the flat IR with zero PlanNode clones or
               // copies.
-              auto plan = CompileForServe(builder, builder.Build(query));
+              // The cache keys on the canonical signature, so the plan is
+              // built from the canonical form too: whichever predicate
+              // order leads the flight, the cached plan is the same.
+              auto plan = CompileForServe(
+                  builder, builder.Build(CanonicalizeQuery(query)));
               cache_.Put(key, plan);
               return plan;
             },

@@ -13,7 +13,7 @@
 //
 // Planning state is per worker: the factory supplied at construction is
 // invoked once per worker thread, so estimators that are not shareable
-// (DatasetEstimator's scope stack) still serve concurrent traffic safely.
+// (DatasetEstimator's scope memo) still serve concurrent traffic safely.
 // Thread-safe estimators (IndependentEstimator, ChowLiuEstimator) can back
 // all bundles with one shared const Planner instead — see the thread-safety
 // contract in opt/planner.h.

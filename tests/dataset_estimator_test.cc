@@ -1,17 +1,31 @@
 // DatasetEstimator tests: every statistic must agree exactly with brute-
 // force counting over the dataset (the estimator is the paper's Section 5
-// machinery, so its correctness underpins every planner).
+// machinery, so its correctness underpins every planner). The oracle tests
+// compare whole MaskDistributions -- entries, their order and total() --
+// and serialized plans against testing_util::BruteForceEstimator.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "data/garden_gen.h"
+#include "data/lab_gen.h"
+#include "data/synthetic_gen.h"
+#include "data/workload.h"
+#include "opt/cost_model.h"
+#include "opt/exhaustive.h"
+#include "opt/greedy_plan.h"
+#include "opt/greedyseq.h"
+#include "opt/split_points.h"
+#include "plan/plan_serde.h"
 #include "prob/dataset_estimator.h"
 #include "test_util.h"
 
 namespace caqp {
 namespace {
 
+using testing_util::BruteForceEstimator;
 using testing_util::BruteForceRows;
 using testing_util::CorrelatedDataset;
 using testing_util::RandomRanges;
@@ -205,6 +219,236 @@ TEST(DatasetEstimatorTest, RowsMatchingExactAndSubset) {
     const RangeVec ranges = RandomRanges(ds.schema(), rng);
     EXPECT_EQ(est.RowsMatching(ranges), BruteForceRows(ds, ranges));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle: exact equality with BruteForceEstimator.
+
+/// Random predicates; lo == 0 and negation are both common.
+std::vector<Predicate> RandomPredicates(const Schema& schema, Rng& rng,
+                                        size_t count) {
+  std::vector<Predicate> preds;
+  for (size_t j = 0; j < count; ++j) {
+    const auto attr = static_cast<AttrId>(
+        rng.UniformInt(0, static_cast<int64_t>(schema.num_attributes()) - 1));
+    const uint32_t k = schema.domain_size(attr);
+    const Value lo =
+        rng.Bernoulli(0.3) ? 0 : static_cast<Value>(rng.UniformInt(0, k - 1));
+    const auto hi = static_cast<Value>(rng.UniformInt(lo, k - 1));
+    preds.emplace_back(attr, lo, hi, rng.Bernoulli(0.4));
+  }
+  return preds;
+}
+
+void ExpectSameMasks(const MaskDistribution& got,
+                     const MaskDistribution& want) {
+  EXPECT_EQ(got.entries(), want.entries());
+  EXPECT_EQ(got.total(), want.total());
+}
+
+/// Every statistic of `est` equals the oracle's bit for bit.
+void ExpectMatchesOracle(DatasetEstimator& est, BruteForceEstimator& oracle,
+                         const RangeVec& ranges,
+                         const std::vector<Predicate>& preds) {
+  const Schema& schema = est.schema();
+  EXPECT_EQ(est.ReachProbability(ranges), oracle.ReachProbability(ranges));
+  ExpectSameMasks(est.PredicateMasks(ranges, preds),
+                  oracle.PredicateMasks(ranges, preds));
+  for (size_t a = 0; a < schema.num_attributes(); ++a) {
+    const auto attr = static_cast<AttrId>(a);
+    const Histogram got = est.Marginal(ranges, attr);
+    const Histogram want = oracle.Marginal(ranges, attr);
+    ASSERT_EQ(got.domain(), want.domain());
+    EXPECT_EQ(got.total(), want.total());
+    for (Value v = 0; v < got.domain(); ++v) {
+      EXPECT_EQ(got.Count(v), want.Count(v)) << "attr " << a << " value " << v;
+    }
+    const auto per_value = est.PerValuePredicateMasks(ranges, attr, preds);
+    const auto want_per_value =
+        oracle.PerValuePredicateMasks(ranges, attr, preds);
+    ASSERT_EQ(per_value.size(), want_per_value.size());
+    for (size_t g = 0; g < per_value.size(); ++g) {
+      ExpectSameMasks(per_value[g], want_per_value[g]);
+    }
+  }
+}
+
+TEST(DatasetEstimatorOracleTest, RandomRangesAndPredicates) {
+  // Row counts straddle the 64-row word boundary.
+  for (size_t rows : {1u, 63u, 64u, 65u, 130u, 701u}) {
+    SCOPED_TRACE("rows " + std::to_string(rows));
+    const Dataset ds = CorrelatedDataset(SmallSchema(), rows, 40 + rows);
+    DatasetEstimator est(ds);
+    BruteForceEstimator oracle(ds);
+    Rng rng(rows);
+    for (int iter = 0; iter < 40; ++iter) {
+      const RangeVec ranges = RandomRanges(ds.schema(), rng);
+      const std::vector<Predicate> preds = RandomPredicates(
+          ds.schema(), rng, static_cast<size_t>(rng.UniformInt(0, 6)));
+      ExpectMatchesOracle(est, oracle, ranges, preds);
+    }
+  }
+}
+
+TEST(DatasetEstimatorOracleTest, EmptyScopes) {
+  // Attribute 0 only ever takes values 0 and 1, so [2,3] selects no row.
+  const Schema schema = SmallSchema();
+  Dataset ds(schema);
+  Rng rng(16);
+  for (int r = 0; r < 150; ++r) {
+    Tuple t(schema.num_attributes());
+    t[0] = static_cast<Value>(r % 2);
+    for (size_t a = 1; a < t.size(); ++a) {
+      t[a] = static_cast<Value>(rng.UniformInt(
+          0, schema.domain_size(static_cast<AttrId>(a)) - 1));
+    }
+    ds.Append(t);
+  }
+  DatasetEstimator est(ds);
+  BruteForceEstimator oracle(ds);
+  for (int iter = 0; iter < 20; ++iter) {
+    RangeVec ranges = RandomRanges(schema, rng);
+    ranges[0] = ValueRange{2, 3};
+    ASSERT_TRUE(BruteForceRows(ds, ranges).empty());
+    EXPECT_TRUE(est.RowsMatching(ranges).empty());
+    ExpectMatchesOracle(est, oracle, ranges, RandomPredicates(schema, rng, 3));
+  }
+}
+
+TEST(DatasetEstimatorOracleTest, ZeroRowDataset) {
+  const Dataset ds(SmallSchema());
+  DatasetEstimator est(ds);
+  BruteForceEstimator oracle(ds);
+  Rng rng(17);
+  ExpectMatchesOracle(est, oracle, ds.schema().FullRanges(),
+                      RandomPredicates(ds.schema(), rng, 2));
+  for (int iter = 0; iter < 10; ++iter) {
+    ExpectMatchesOracle(est, oracle, RandomRanges(ds.schema(), rng),
+                        RandomPredicates(ds.schema(), rng, 3));
+  }
+}
+
+TEST(DatasetEstimatorOracleTest, MorePredicatesThanTheDenseTable) {
+  // Garden-11 queries carry 22 predicates: the sparse counting path.
+  GardenDataOptions gopts;
+  gopts.num_motes = 11;
+  gopts.epochs = 700;
+  const Dataset ds = GenerateGardenData(gopts);
+  const GardenAttrs attrs = ResolveGardenAttrs(ds.schema());
+  GardenQueryOptions qopts;
+  qopts.num_queries = 3;
+  const std::vector<Query> queries = GenerateGardenQueries(
+      ds.schema(), attrs.temperature, attrs.humidity, qopts);
+  DatasetEstimator est(ds);
+  BruteForceEstimator oracle(ds);
+  Rng rng(18);
+  for (const Query& q : queries) {
+    ASSERT_EQ(q.predicates().size(), 22u);
+    ExpectMatchesOracle(est, oracle, ds.schema().FullRanges(), q.predicates());
+    for (int iter = 0; iter < 3; ++iter) {
+      ExpectMatchesOracle(est, oracle, RandomRanges(ds.schema(), rng, 0.2),
+                          q.predicates());
+    }
+  }
+}
+
+/// Greedy and Exhaustive plans serialize to the same bytes under
+/// DatasetEstimator as under the oracle. Exhaustive search gets its own,
+/// smaller split-point set so the oracle's full scans stay affordable.
+void ExpectSamePlans(const Dataset& train, const std::vector<Query>& queries,
+                     const SplitPointSet& greedy_splits,
+                     const SplitPointSet& exhaustive_splits) {
+  DatasetEstimator est(train);
+  BruteForceEstimator oracle(train);
+  PerAttributeCostModel cm(train.schema());
+  GreedySeqSolver seq;
+  GreedyPlanner::Options gopts;
+  gopts.split_points = &greedy_splits;
+  gopts.seq_solver = &seq;
+  gopts.max_splits = 5;
+  GreedyPlanner greedy(est, cm, gopts);
+  GreedyPlanner greedy_oracle(oracle, cm, gopts);
+  ExhaustivePlanner::Options xopts;
+  xopts.split_points = &exhaustive_splits;
+  ExhaustivePlanner exhaustive(est, cm, xopts);
+  ExhaustivePlanner exhaustive_oracle(oracle, cm, xopts);
+  size_t greedy_splits_made = 0;
+  size_t exhaustive_splits_made = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    const Plan g = greedy.BuildPlan(queries[i]);
+    EXPECT_EQ(SerializePlan(g),
+              SerializePlan(greedy_oracle.BuildPlan(queries[i])));
+    const Plan x = exhaustive.BuildPlan(queries[i]);
+    EXPECT_EQ(SerializePlan(x),
+              SerializePlan(exhaustive_oracle.BuildPlan(queries[i])));
+    greedy_splits_made += g.NumSplits();
+    exhaustive_splits_made += x.NumSplits();
+  }
+  // Conditional plans, not just sequential leaves, were compared.
+  EXPECT_GT(greedy_splits_made, 0u);
+  EXPECT_GT(exhaustive_splits_made, 0u);
+}
+
+/// `points` split points on the first `attrs` attributes, none elsewhere.
+SplitPointSet FewSplitPoints(const Schema& schema, size_t attrs,
+                             uint32_t points) {
+  std::vector<uint32_t> per_attr(schema.num_attributes(), 0);
+  for (size_t a = 0; a < std::min(attrs, per_attr.size()); ++a) {
+    per_attr[a] = points;
+  }
+  return SplitPointSet::EquiSpaced(schema, per_attr);
+}
+
+TEST(DatasetEstimatorOracleTest, SamePlanBytesOnLab) {
+  LabDataOptions lopts;
+  lopts.num_motes = 4;
+  lopts.readings = 1500;
+  const Dataset train = GenerateLabData(lopts);
+  const LabAttrs attrs = ResolveLabAttrs(train.schema());
+  LabQueryOptions qopts;
+  qopts.num_queries = 4;
+  const std::vector<Query> queries = GenerateLabQueries(
+      train, {attrs.light, attrs.temperature, attrs.humidity}, qopts);
+  ExpectSamePlans(train, queries,
+                  SplitPointSet::FromLog10Spsf(train.schema(), 6.0),
+                  FewSplitPoints(train.schema(), 3, 2));
+}
+
+TEST(DatasetEstimatorOracleTest, SamePlanBytesOnGarden) {
+  for (size_t motes : {5u, 11u}) {
+    SCOPED_TRACE("garden-" + std::to_string(motes));
+    GardenDataOptions gopts;
+    gopts.num_motes = motes;
+    gopts.epochs = 1000;
+    const Dataset train = GenerateGardenData(gopts);
+    const GardenAttrs attrs = ResolveGardenAttrs(train.schema());
+    GardenQueryOptions qopts;
+    qopts.num_queries = 3;
+    const std::vector<Query> queries = GenerateGardenQueries(
+        train.schema(), attrs.temperature, attrs.humidity, qopts);
+    ExpectSamePlans(train, queries,
+                    SplitPointSet::FromLog10Spsf(
+                        train.schema(),
+                        static_cast<double>(train.num_attributes())),
+                    FewSplitPoints(train.schema(), 4, 2));
+  }
+}
+
+TEST(DatasetEstimatorOracleTest, SamePlanBytesOnSynthetic) {
+  SyntheticDataOptions sopts;
+  sopts.n = 6;
+  sopts.gamma = 2;
+  sopts.tuples = 3000;
+  const Dataset train = GenerateSyntheticData(sopts);
+  Rng rng(19);
+  std::vector<Query> queries = {SyntheticAllExpensiveQuery(train.schema())};
+  for (int i = 0; i < 4; ++i) {
+    queries.push_back(
+        testing_util::RandomConjunctiveQuery(train.schema(), rng, 4));
+  }
+  const SplitPointSet all = SplitPointSet::AllPoints(train.schema());
+  ExpectSamePlans(train, queries, all, all);
 }
 
 }  // namespace

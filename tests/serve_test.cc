@@ -20,6 +20,7 @@
 #include "opt/greedyseq.h"
 #include "opt/naive.h"
 #include "opt/optseq.h"
+#include "plan/plan_serde.h"
 #include "prob/chow_liu.h"
 #include "prob/dataset_estimator.h"
 #include "serve/plan_cache.h"
@@ -413,6 +414,38 @@ TEST(ServeQueryServiceTest, InvalidateCacheBumpsVersionAndReplans) {
   EXPECT_FALSE(after.cache_hit);
   EXPECT_TRUE(after.planned);
   EXPECT_EQ(fx.builds.load(), 2u);
+}
+
+TEST(ServeQueryServiceTest, PlansTheCanonicalFormWhicheverOrderLeads) {
+  ServiceFixture fx;
+  // Find a query whose Greedy plan depends on predicate order, so a build
+  // that followed the leading request's order would show.
+  GreedyPlanner::Options gopts;
+  gopts.split_points = &fx.splits;
+  gopts.seq_solver = &fx.solver;
+  gopts.max_splits = 3;
+  GreedyPlanner planner(fx.estimator, fx.cm, gopts);
+  Rng rng(8);
+  Query forward;
+  Query backward;
+  bool found = false;
+  for (int i = 0; i < 500 && !found; ++i) {
+    forward = testing_util::RandomConjunctiveQuery(fx.schema, rng, 4);
+    const Conjunct& preds = forward.predicates();
+    backward = Query::Conjunction(Conjunct(preds.rbegin(), preds.rend()));
+    found = SerializePlan(planner.BuildPlan(forward)) !=
+            SerializePlan(planner.BuildPlan(backward));
+  }
+  ASSERT_TRUE(found);
+
+  QueryService service = fx.MakeService();
+  const Tuple t = fx.data.GetTuple(0);
+  const QueryService::Response first = service.SubmitAndWait(forward, t);
+  service.InvalidateCache();
+  const QueryService::Response second = service.SubmitAndWait(backward, t);
+  ASSERT_TRUE(first.planned);
+  ASSERT_TRUE(second.planned);
+  EXPECT_EQ(SerializePlan(*first.plan), SerializePlan(*second.plan));
 }
 
 TEST(ServeQueryServiceTest, ReportCoversEveryRequest) {

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "core/dataset.h"
 #include "core/query.h"
+#include "prob/estimator.h"
 #include "prob/subproblem.h"
 
 namespace caqp {
@@ -86,6 +87,54 @@ inline std::vector<RowId> BruteForceRows(const Dataset& ds,
   }
   return rows;
 }
+
+/// Differential oracle for DatasetEstimator: answers every call by scanning
+/// all rows, one weight-1 Add per matching row, then MaskDistribution's own
+/// Aggregate. Slow by design; for tests only.
+class BruteForceEstimator : public CondProbEstimator {
+ public:
+  /// The dataset must outlive the estimator.
+  explicit BruteForceEstimator(const Dataset& data) : data_(data) {}
+
+  const Schema& schema() const override { return data_.schema(); }
+
+  Histogram Marginal(const RangeVec& given, AttrId attr) override {
+    Histogram h(schema().domain_size(attr));
+    for (RowId r : BruteForceRows(data_, given)) h.Add(data_.at(r, attr));
+    return h;
+  }
+
+  double ReachProbability(const RangeVec& given) override {
+    if (data_.num_rows() == 0) return 0.0;
+    return static_cast<double>(BruteForceRows(data_, given).size()) /
+           static_cast<double>(data_.num_rows());
+  }
+
+  MaskDistribution PredicateMasks(
+      const RangeVec& given, const std::vector<Predicate>& preds) override {
+    MaskDistribution dist;
+    for (RowId r : BruteForceRows(data_, given)) {
+      dist.Add(PredicateMask(preds, data_.GetTuple(r)), 1.0);
+    }
+    dist.Aggregate();
+    return dist;
+  }
+
+  std::vector<MaskDistribution> PerValuePredicateMasks(
+      const RangeVec& given, AttrId attr,
+      const std::vector<Predicate>& preds) override {
+    std::vector<MaskDistribution> out(given[attr].Width());
+    for (RowId r : BruteForceRows(data_, given)) {
+      out[data_.at(r, attr) - given[attr].lo].Add(
+          PredicateMask(preds, data_.GetTuple(r)), 1.0);
+    }
+    for (MaskDistribution& d : out) d.Aggregate();
+    return out;
+  }
+
+ private:
+  const Dataset& data_;
+};
 
 /// Random valid sub-ranges of the schema's domains.
 inline RangeVec RandomRanges(const Schema& schema, Rng& rng,
