@@ -31,6 +31,7 @@
 #include "opt/greedy_plan.h"
 #include "opt/greedyseq.h"
 #include "opt/split_points.h"
+#include "plan/compiled_plan.h"
 #include "prob/dataset_estimator.h"
 
 using namespace caqp;
@@ -58,7 +59,7 @@ struct RunStats {
 /// Executes `plan` over every test tuple with faults at `transient_rate`,
 /// using one injector for the whole pass (faults accumulate across epochs,
 /// as they would on a live mote).
-RunStats RunPass(const Plan& plan, const Schema& schema,
+RunStats RunPass(const CompiledPlan& plan, const Schema& schema,
                  const AcquisitionCostModel& cm, const Query& query,
                  const Dataset& test, double transient_rate,
                  const DegradationPolicy& policy) {
@@ -116,7 +117,7 @@ int main(int argc, char** argv) {
   gopts.seq_solver = &greedyseq;
   gopts.max_splits = 5;
   GreedyPlanner planner(estimator, cost_model, gopts);
-  const Plan plan = planner.BuildPlan(query);
+  const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(query));
 
   const std::vector<double> rates = {0.0, 0.01, 0.05, 0.10};
   const std::vector<PolicyRun> policies = {

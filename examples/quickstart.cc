@@ -19,6 +19,7 @@
 #include "opt/greedy_plan.h"
 #include "opt/naive.h"
 #include "opt/optseq.h"
+#include "plan/compiled_plan.h"
 #include "plan/plan_cost.h"
 #include "plan/plan_printer.h"
 #include "prob/dataset_estimator.h"
@@ -76,11 +77,13 @@ int main() {
   std::printf("expected cost: naive=%.3f conditional=%.3f (%.1f%% saved)\n",
               c_naive, c_cond, 100.0 * (1.0 - c_cond / c_naive));
 
-  // Execute over a fresh tuple.
+  // Execute over a fresh tuple. Plans are compiled once into the flat form
+  // the executor runs (what a mote holds after dissemination).
+  const CompiledPlan compiled = CompiledPlan::Compile(cond_plan);
   Tuple tonight = {0, 0, 1};  // night, not hot, dark
   TupleSource source(tonight);
   const ExecutionResult res =
-      ExecutePlan(cond_plan, schema, cost_model, source);
+      ExecutePlan(compiled, schema, cost_model, source);
   std::printf("tonight's tuple: verdict=%s, paid %.1f cost units, %d reads\n",
               res.verdict ? "PASS" : "FAIL", res.cost, res.acquisitions);
 
@@ -95,7 +98,7 @@ int main() {
   // single tuple (tools/caqp_plan --trace-out streams these as JSONL).
   ExecutionTrace trace;
   TupleSource traced_source(tonight);
-  (void)ExecutePlan(cond_plan, schema, cost_model, traced_source, &trace);
+  (void)ExecutePlan(compiled, schema, cost_model, traced_source, &trace);
   std::printf("trace:");
   for (const TraceAcquisition& a : trace.acquisitions()) {
     std::printf(" %s=%u(+%.1f)", schema.name(a.attr).c_str(), a.value,

@@ -10,9 +10,11 @@ greppable, and reusable against any committed baseline:
 
 Default bars (the executor bench):
 
-    bench_exec.speedup        >= 1.5   flat CompiledPlan vs tree walk
-    bench_exec.batch_speedup  >= 4.0   columnar batch vs flat per-tuple
-    bench_exec.hot_path_clones == 0    cached serving clones no PlanNodes
+    bench_exec_batch_speedup  >= 4.0   columnar batch vs flat per-tuple
+    bench_exec_hot_path_clones == 0    cached serving clones no PlanNodes
+
+Gauges are named as the exports spell them: the canonical snake_case names
+of obs/prometheus.h (counters end in "_total").
 
 Custom bars: --min gauge:value (repeatable), --zero gauge (repeatable)
 replace the defaults entirely when given.
@@ -37,15 +39,9 @@ def load_gauges(path):
         doc = json.load(f)
     metrics = doc.get("metrics", doc)
     gauges = dict(metrics.get("gauges", {}))
-    # Counters can serve as bars too (e.g. plan.node_clones).
+    # Counters can serve as bars too (e.g. plan_node_clones_total).
     for name, value in metrics.get("counters", {}).items():
         gauges.setdefault(name, value)
-    # Current exports emit canonical snake_case names plus an aliases map
-    # (legacy -> canonical); resolve the legacy keys too so bars and old
-    # baselines written against dotted names keep working for one release.
-    for legacy, canonical in metrics.get("aliases", {}).items():
-        if canonical in gauges:
-            gauges.setdefault(legacy, gauges[canonical])
     return gauges
 
 
@@ -77,9 +73,8 @@ def main():
             for name, value in [spec.rsplit(":", 1)]]
     zeros = list(args.zero)
     if not mins and not zeros:
-        mins = [("bench_exec.speedup", 1.5),
-                ("bench_exec.batch_speedup", 4.0)]
-        zeros = ["bench_exec.hot_path_clones"]
+        mins = [("bench_exec_batch_speedup", 4.0)]
+        zeros = ["bench_exec_hot_path_clones"]
 
     gauges = load_gauges(args.results)
     failures = []

@@ -6,8 +6,8 @@
 //
 //  * per-node counters — evals (node reached), passes (its test succeeded),
 //    unknowns (acquisition failed at the node / three-valued Unknown),
-//    indexed by the flat CompiledPlan node index (== PlanNode::id for the
-//    tree executor);
+//    indexed by the flat CompiledPlan node index (== PlanNode::id of the
+//    source tree);
 //  * per-attribute predicate counters — evaluations and passes of each
 //    attribute's predicates, the observed twin of
 //    PlanEstimates::attr_eval_rate / attr_pass_rate;

@@ -1,7 +1,10 @@
 // Plan execution engine (the "simple traversal of a binary tree" that runs
-// on motes, paper Section 2.5). The executor is deliberately tiny and
-// allocation-free on the hot path: current sensor hardware is the reason the
-// paper computes plans offline, so execution must stay cheap.
+// on motes, paper Section 2.5). There is one per-tuple executor, and it runs
+// the flat CompiledPlan form: callers holding a pointer-tree Plan compile it
+// once (CompiledPlan::Compile) and execute the result for every tuple. The
+// executor is deliberately tiny and allocation-free on the hot path: current
+// sensor hardware is the reason the paper computes plans offline, so
+// execution must stay cheap.
 //
 // Values are pulled through an AcquisitionSource, which lets the same engine
 // run over a recorded dataset, a live simulated sensor, or (in tests) a
@@ -35,7 +38,6 @@
 #include "obs/trace.h"
 #include "opt/cost_model.h"
 #include "plan/compiled_plan.h"
-#include "plan/plan.h"
 #include "prob/subproblem.h"
 
 namespace caqp {
@@ -125,28 +127,16 @@ struct ExecutionResult {
 };
 
 namespace internal {
-// Out-of-line halves of the inline ExecutePlan wrappers below. The Impl
-// templates (defined and explicitly instantiated for
-// kTraced=kProfiled=false in executor.cc) are the executors themselves;
-// calling Impl<false, false> straight from the inline wrapper keeps the
-// common disabled-instrumentation case at one call, exactly like an
-// uninstrumented build. Obs wraps execution in the "exec" span and counter
-// emission (and handles the obs-disabled-but-traced case). kProfiled adds
-// the per-node eval/pass/unknown counter hooks for calibration
-// (exec/exec_profile.h); like tracing, the hooks vanish at compile time in
-// the <*, false> instantiations.
-template <bool kTraced, bool kProfiled>
-ExecutionResult ExecutePlanImpl(const Plan& plan, const Schema& schema,
-                                const AcquisitionCostModel& cost_model,
-                                AcquisitionSource& source, TraceSink* trace,
-                                const DegradationPolicy& policy,
-                                ExecutionProfile* profile);
-extern template ExecutionResult ExecutePlanImpl<false, false>(
-    const Plan& plan, const Schema& schema,
-    const AcquisitionCostModel& cost_model, AcquisitionSource& source,
-    TraceSink* trace, const DegradationPolicy& policy,
-    ExecutionProfile* profile);
-
+// Out-of-line halves of the inline ExecutePlan wrapper below. The Impl
+// template (defined and explicitly instantiated for kTraced=kProfiled=false
+// in executor.cc) is the executor itself; calling Impl<false, false>
+// straight from the inline wrapper keeps the common disabled-instrumentation
+// case at one call, exactly like an uninstrumented build. Obs wraps
+// execution in the "exec" span and counter emission (and handles the
+// obs-disabled-but-traced case). kProfiled adds the per-node
+// eval/pass/unknown counter hooks for calibration (exec/exec_profile.h);
+// like tracing, the hooks vanish at compile time in the <*, false>
+// instantiations.
 template <bool kTraced, bool kProfiled>
 ExecutionResult ExecuteCompiledImpl(const CompiledPlan& plan,
                                     const Schema& schema,
@@ -161,11 +151,6 @@ extern template ExecutionResult ExecuteCompiledImpl<false, false>(
     TraceSink* trace, const DegradationPolicy& policy,
     ExecutionProfile* profile);
 
-ExecutionResult ExecutePlanObs(const Plan& plan, const Schema& schema,
-                               const AcquisitionCostModel& cost_model,
-                               AcquisitionSource& source, TraceSink* trace,
-                               const DegradationPolicy& policy,
-                               ExecutionProfile* profile);
 ExecutionResult ExecuteCompiledObs(const CompiledPlan& plan,
                                    const Schema& schema,
                                    const AcquisitionCostModel& cost_model,
@@ -181,35 +166,21 @@ ExecutionResult ExecuteCompiledObs(const CompiledPlan& plan,
 /// the default null sink costs one untaken branch per event site. If
 /// `profile` is non-null *and* instrumentation is runtime-enabled, per-node
 /// eval/pass/unknown counters and realized cost are recorded into it
-/// (exec/exec_profile.h; nodes are addressed by PlanNode::id / flat index).
-/// Profiling rides the obs switch on purpose: with obs disabled the profile
-/// is ignored and the call costs exactly what an unprofiled call costs.
+/// (exec/exec_profile.h; nodes are addressed by flat index, which equals
+/// the source tree's PlanNode::id). Profiling rides the obs switch on
+/// purpose: with obs disabled the profile is ignored and the call costs
+/// exactly what an unprofiled call costs.
+///
+/// The walk iterates over the node array — no recursion, no pointer
+/// chasing, no per-tuple allocation, and no acquired-set lookups on the
+/// split walk (the compiler precomputed the first-acquisition flags). This
+/// is what motes, the serve layer and dist's fault path run.
 ///
 /// Inline so the common case — no per-tuple trace, instrumentation
 /// runtime-disabled — dispatches straight to the uninstrumented executor
 /// for one relaxed load and a branch in the caller. This is a per-tuple
 /// call; an extra out-of-line gating frame here costs measurable percent
 /// (bench_obs_overhead holds the disabled path under 5%).
-inline ExecutionResult ExecutePlan(const Plan& plan, const Schema& schema,
-                                   const AcquisitionCostModel& cost_model,
-                                   AcquisitionSource& source,
-                                   TraceSink* trace = nullptr,
-                                   const DegradationPolicy& policy = {},
-                                   ExecutionProfile* profile = nullptr) {
-  if (trace == nullptr && !obs::Enabled()) {
-    return internal::ExecutePlanImpl<false, false>(plan, schema, cost_model,
-                                                   source, nullptr, policy,
-                                                   nullptr);
-  }
-  return internal::ExecutePlanObs(plan, schema, cost_model, source, trace,
-                                  policy, profile);
-}
-
-/// Flat-form hot path: identical semantics (and bit-identical results) to
-/// the tree overload, but iterates over the CompiledPlan node array — no
-/// recursion, no pointer chasing, no per-tuple allocation, and no
-/// acquired-set lookups on the split walk (the compiler precomputed the
-/// first-acquisition flags). This is what motes and the serve layer run.
 inline ExecutionResult ExecutePlan(const CompiledPlan& plan,
                                    const Schema& schema,
                                    const AcquisitionCostModel& cost_model,

@@ -157,12 +157,8 @@ JsonWriter& JsonWriter::Null() {
 }
 
 void WriteRegistrySnapshot(JsonWriter& w, const RegistrySnapshot& snap) {
-  // JSON and /metrics agree key for key: both export canonical names. The
-  // aliases map (legacy -> canonical) lets existing consumers keep resolving
-  // the historical dotted keys for one release (check_bench_bars.py applies
-  // it when loading).
-  MetricAliases aliases;
-  const RegistrySnapshot canon = CanonicalizeSnapshot(snap, &aliases);
+  // JSON and /metrics agree key for key: both export canonical names.
+  const RegistrySnapshot canon = CanonicalizeSnapshot(snap);
   w.BeginObject();
   w.Key("counters").BeginObject();
   for (const auto& c : canon.counters) w.Key(c.name).UInt(c.value);
@@ -187,11 +183,6 @@ void WriteRegistrySnapshot(JsonWriter& w, const RegistrySnapshot& snap) {
   for (const auto& h : canon.histograms) {
     w.Key(h.name);
     WriteHistogram(w, h.hist);
-  }
-  w.EndObject();
-  w.Key("aliases").BeginObject();
-  for (const auto& [legacy, canonical] : aliases) {
-    w.Key(legacy).String(canonical);
   }
   w.EndObject();
   w.EndObject();

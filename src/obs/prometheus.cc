@@ -34,14 +34,8 @@ void SortByName(Vec& v) {
 }
 
 template <typename Vec>
-void RenameAll(Vec& v, MetricKind kind, MetricAliases* aliases) {
-  for (auto& entry : v) {
-    std::string canonical = CanonicalMetricName(entry.name, kind);
-    if (canonical != entry.name) {
-      if (aliases != nullptr) aliases->emplace_back(entry.name, canonical);
-      entry.name = std::move(canonical);
-    }
-  }
+void RenameAll(Vec& v, MetricKind kind) {
+  for (auto& entry : v) entry.name = CanonicalMetricName(entry.name, kind);
   SortByName(v);
 }
 
@@ -77,12 +71,11 @@ std::string CanonicalMetricName(std::string_view name, MetricKind kind) {
   return out;
 }
 
-RegistrySnapshot CanonicalizeSnapshot(RegistrySnapshot snap,
-                                      MetricAliases* aliases) {
-  RenameAll(snap.counters, MetricKind::kCounter, aliases);
-  RenameAll(snap.gauges, MetricKind::kGauge, aliases);
-  RenameAll(snap.stats, MetricKind::kStat, aliases);
-  RenameAll(snap.histograms, MetricKind::kHistogram, aliases);
+RegistrySnapshot CanonicalizeSnapshot(RegistrySnapshot snap) {
+  RenameAll(snap.counters, MetricKind::kCounter);
+  RenameAll(snap.gauges, MetricKind::kGauge);
+  RenameAll(snap.stats, MetricKind::kStat);
+  RenameAll(snap.histograms, MetricKind::kHistogram);
   MergeAdjacentDuplicates(snap.counters,
                           [](auto& a, const auto& b) { a.value += b.value; });
   MergeAdjacentDuplicates(snap.gauges, [](auto& a, const auto& b) {
@@ -135,8 +128,7 @@ void MergeSnapshotInto(RegistrySnapshot* dst, const RegistrySnapshot& src) {
 }
 
 std::string RenderPrometheusText(const RegistrySnapshot& raw) {
-  const RegistrySnapshot snap =
-      CanonicalizeSnapshot(raw, /*aliases=*/nullptr);
+  const RegistrySnapshot snap = CanonicalizeSnapshot(raw);
   std::string out;
   out.reserve(4096);
   char buf[128];

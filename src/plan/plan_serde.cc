@@ -72,63 +72,6 @@ Status ParseGenericPayload(ByteReader* r, const Schema& schema,
   return Status::OK();
 }
 
-/// Legacy recursive tree decoder (pre-flat encodings start with a node
-/// kind byte in 0..3). Kept as a compat shim only; SerializePlan has emitted
-/// the flat format since the CompiledPlan refactor.
-Status ParseTreeNode(ByteReader* r, const Schema& schema, int depth,
-                     std::unique_ptr<PlanNode>* out) {
-  if (depth > 512) return Status::DataLoss("plan nesting too deep");
-  uint8_t kind;
-  CAQP_RETURN_IF_ERROR(r->GetU8(&kind));
-  switch (static_cast<PlanNode::Kind>(kind)) {
-    case PlanNode::Kind::kSplit: {
-      uint64_t attr, x;
-      CAQP_RETURN_IF_ERROR(r->GetVarint(&attr));
-      CAQP_RETURN_IF_ERROR(r->GetVarint(&x));
-      if (attr >= schema.num_attributes()) {
-        return Status::DataLoss("split attribute out of schema");
-      }
-      if (x < 1 || x >= schema.domain_size(static_cast<AttrId>(attr))) {
-        return Status::DataLoss("split value out of domain");
-      }
-      std::unique_ptr<PlanNode> lt, ge;
-      CAQP_RETURN_IF_ERROR(ParseTreeNode(r, schema, depth + 1, &lt));
-      CAQP_RETURN_IF_ERROR(ParseTreeNode(r, schema, depth + 1, &ge));
-      *out = PlanNode::Split(static_cast<AttrId>(attr),
-                             static_cast<Value>(x), std::move(lt),
-                             std::move(ge));
-      return Status::OK();
-    }
-    case PlanNode::Kind::kVerdict: {
-      uint8_t v;
-      CAQP_RETURN_IF_ERROR(r->GetU8(&v));
-      *out = PlanNode::Verdict(v != 0);
-      return Status::OK();
-    }
-    case PlanNode::Kind::kSequential: {
-      uint64_t count;
-      CAQP_RETURN_IF_ERROR(r->GetVarint(&count));
-      if (count > schema.num_attributes()) {
-        return Status::DataLoss("sequential leaf longer than schema");
-      }
-      std::vector<Predicate> seq(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        CAQP_RETURN_IF_ERROR(ParsePredicate(r, schema, &seq[i]));
-      }
-      *out = PlanNode::Sequential(std::move(seq));
-      return Status::OK();
-    }
-    case PlanNode::Kind::kGeneric: {
-      std::vector<AttrId> order;
-      Query query;
-      CAQP_RETURN_IF_ERROR(ParseGenericPayload(r, schema, &order, &query));
-      *out = PlanNode::Generic(std::move(query), std::move(order));
-      return Status::OK();
-    }
-  }
-  return Status::DataLoss("unknown plan node kind");
-}
-
 /// Verifies the node array is the preorder flattening of exactly one binary
 /// tree rooted at 0 with lt == i + 1: a single linear walk (node order IS
 /// traversal order) with a stack of pending ">=" child starts. Rejects
@@ -215,20 +158,6 @@ size_t PlanSizeBytes(const Plan& plan) { return SerializePlan(plan).size(); }
 Result<CompiledPlan> DeserializeCompiledPlan(
     const std::vector<uint8_t>& bytes, const Schema& schema) {
   if (bytes.empty()) return Status::DataLoss("empty plan bytes");
-
-  // Legacy tree encoding: the first byte is the root's kind (0..3).
-  if (bytes[0] < kPlanWireFormatVersion) {
-    if (bytes[0] > 3) return Status::DataLoss("unknown plan format version");
-    ByteReader r(bytes);
-    std::unique_ptr<PlanNode> root;
-    CAQP_RETURN_IF_ERROR(ParseTreeNode(&r, schema, 0, &root));
-    if (!r.AtEnd()) return Status::DataLoss("trailing bytes after plan");
-    Plan plan(std::move(root));
-    if (!PlanIsWellFormed(plan, schema)) {
-      return Status::DataLoss("decoded plan fails well-formedness checks");
-    }
-    return CompiledPlan::Compile(plan);
-  }
   if (bytes[0] != kPlanWireFormatVersion) {
     return Status::DataLoss("unknown plan format version");
   }

@@ -1,8 +1,8 @@
 // CompiledPlan: flat layout invariants, tree<->flat round-trips, and the
 // central property of the IR refactor -- executing the compiled form is
 // observationally identical (verdict3, cost, acquisitions, retries, failure
-// sets) to executing the pointer tree, across planners, workloads, fault
-// profiles, and degradation policies.
+// sets) to walking the pointer tree with testing_util::ReferenceExecute,
+// across planners, workloads, fault profiles, and degradation policies.
 
 #include <gtest/gtest.h>
 
@@ -136,7 +136,8 @@ TEST(CompiledPlanTest, DefaultPlanRejectsEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Tree vs flat execution equivalence
+// Tree vs flat execution equivalence: the flat executor against the
+// testing_util::ReferenceExecute tree walk, bit for bit.
 // ---------------------------------------------------------------------------
 
 void ExpectSameExecution(const ExecutionResult& tree,
@@ -144,7 +145,7 @@ void ExpectSameExecution(const ExecutionResult& tree,
   EXPECT_EQ(tree.verdict, flat.verdict);
   EXPECT_EQ(tree.verdict3, flat.verdict3);
   EXPECT_EQ(tree.aborted, flat.aborted);
-  EXPECT_DOUBLE_EQ(tree.cost, flat.cost);
+  EXPECT_EQ(tree.cost, flat.cost);
   EXPECT_EQ(tree.acquisitions, flat.acquisitions);
   EXPECT_EQ(tree.retries, flat.retries);
   EXPECT_EQ(tree.acquired.bits, flat.acquired.bits);
@@ -236,8 +237,8 @@ TEST(CompiledPlanEquivalenceTest, TreeAndFlatAgreeAcrossPlannersAndFaults) {
           const Tuple t = test.GetTuple(r);
           TupleSource tree_base(t);
           FaultyAcquisitionSource tree_src(tree_base, tree_inj);
-          const ExecutionResult tree_res = ExecutePlan(
-              plan, schema, cm, tree_src, nullptr, fc.policy);
+          const ExecutionResult tree_res = testing_util::ReferenceExecute(
+              plan, schema, cm, tree_src, fc.policy);
           TupleSource flat_base(t);
           FaultyAcquisitionSource flat_src(flat_base, flat_inj);
           const ExecutionResult flat_res = ExecutePlan(
@@ -281,7 +282,7 @@ TEST(CompiledPlanEquivalenceTest, ExecuteBatchMatchesPerTupleExecution) {
       want_acq += static_cast<size_t>(res.acquisitions);
       if (res.verdict) ++want_matches;
     }
-    EXPECT_DOUBLE_EQ(stats.total_cost, want_cost);
+    EXPECT_EQ(stats.total_cost, want_cost);
     EXPECT_EQ(stats.total_acquisitions, want_acq);
     EXPECT_EQ(stats.matches, want_matches);
   }

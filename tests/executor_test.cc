@@ -36,7 +36,8 @@ TEST(ExecutorTest, SequentialLeafAcquiresInOrderAndShortCircuits) {
   // Tuple fails the second predicate: third never acquired.
   Tuple t = {0, 1, 3, 0};
   RecordingSource src(t);
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src);
   EXPECT_FALSE(res.verdict);
   EXPECT_EQ(src.order(), (std::vector<AttrId>{1, 3}));
   EXPECT_DOUBLE_EQ(res.cost, schema.cost(1) + schema.cost(3));
@@ -56,7 +57,8 @@ TEST(ExecutorTest, SplitPathChargesOncePerAttribute) {
   Plan plan(std::move(root));
   Tuple t = {2, 0, 0, 0};
   RecordingSource src(t);
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src);
   EXPECT_TRUE(res.verdict);
   EXPECT_EQ(res.acquisitions, 1);
   EXPECT_DOUBLE_EQ(res.cost, schema.cost(0));
@@ -69,7 +71,8 @@ TEST(ExecutorTest, VerdictLeafAcquiresNothing) {
   Plan plan(PlanNode::Verdict(true));
   Tuple t = {0, 0, 0, 0};
   RecordingSource src(t);
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src);
   EXPECT_TRUE(res.verdict);
   EXPECT_EQ(res.acquisitions, 0);
   EXPECT_DOUBLE_EQ(res.cost, 0.0);
@@ -83,7 +86,8 @@ TEST(ExecutorTest, GenericLeafStopsWhenResolved) {
   // attr0 == 3 resolves the query; attr3 must not be acquired.
   Tuple t = {3, 0, 0, 4};
   RecordingSource src(t);
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src);
   EXPECT_TRUE(res.verdict);
   EXPECT_EQ(src.order(), (std::vector<AttrId>{0}));
 }
@@ -102,7 +106,8 @@ TEST(ExecutorTest, GenericLeafReusesSplitPathValues) {
   // already satisfied by the split-path value. attr3 never acquired.
   Tuple t = {3, 0, 0, 0};
   RecordingSource src(t);
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src);
   EXPECT_TRUE(res.verdict);
   EXPECT_EQ(src.order(), (std::vector<AttrId>{0}));
   EXPECT_DOUBLE_EQ(res.cost, schema.cost(0));
@@ -114,10 +119,12 @@ TEST(ExecutorTest, TupleSourceReadsValues) {
   Plan plan(PlanNode::Sequential({Predicate(2, 1, 3)}));
   Tuple t = {0, 0, 2, 0};
   TupleSource src(t);
-  EXPECT_TRUE(ExecutePlan(plan, schema, cm, src).verdict);
+  EXPECT_TRUE(
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src).verdict);
   Tuple t2 = {0, 0, 0, 0};
   TupleSource src2(t2);
-  EXPECT_FALSE(ExecutePlan(plan, schema, cm, src2).verdict);
+  EXPECT_FALSE(
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src2).verdict);
 }
 
 TEST(SensorBoardCostModelTest, PowerUpChargedOncePerBoard) {
@@ -140,7 +147,8 @@ TEST(SensorBoardCostModelTest, ExecutorIntegration) {
   Plan plan(PlanNode::Sequential({Predicate(2, 0, 3), Predicate(3, 0, 4)}));
   Tuple t = {0, 0, 1, 1};
   TupleSource src(t);
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src);
   EXPECT_DOUBLE_EQ(res.cost, schema.cost(2) + 40.0 + schema.cost(3));
 }
 
@@ -206,7 +214,8 @@ TEST(ExecutorTraceTest, AcquisitionOrderMatchesPlanTraversal) {
   Tuple t = {3, 1, 0, 2};
   RecordingSource src(t);
   ExecutionTrace trace;
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src, &trace);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src, &trace);
 
   // Trace order must match the source's observed acquisition order exactly.
   ASSERT_EQ(trace.acquisitions().size(), src.order().size());
@@ -233,7 +242,8 @@ TEST(ExecutorTraceTest, AcquiredSetConsistentWithAcquisitionCount) {
   Tuple t = {0, 2, 1, 4};
   RecordingSource src(t);
   ExecutionTrace trace;
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src, &trace);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src, &trace);
 
   EXPECT_EQ(static_cast<size_t>(res.acquisitions),
             trace.acquisitions().size());
@@ -257,7 +267,8 @@ TEST(ExecutorTraceTest, CostChargedOncePerAttribute) {
   Tuple t = {2, 0, 0, 0};
   RecordingSource src(t);
   ExecutionTrace trace;
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src, &trace);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src, &trace);
 
   ASSERT_EQ(trace.acquisitions().size(), 1u);
   EXPECT_EQ(trace.acquisitions()[0].attr, 0);
@@ -280,10 +291,12 @@ TEST(ExecutorTraceTest, NullSinkMatchesTracedExecution) {
   Plan plan(PlanNode::Split(0, 2, std::move(leaf), PlanNode::Verdict(false)));
   Tuple t = {1, 1, 0, 1};
   RecordingSource s1(t);
-  const ExecutionResult untraced = ExecutePlan(plan, schema, cm, s1);
+  const ExecutionResult untraced =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, s1);
   RecordingSource s2(t);
   ExecutionTrace trace;
-  const ExecutionResult traced = ExecutePlan(plan, schema, cm, s2, &trace);
+  const ExecutionResult traced =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, s2, &trace);
   EXPECT_EQ(untraced.verdict, traced.verdict);
   EXPECT_DOUBLE_EQ(untraced.cost, traced.cost);
   EXPECT_EQ(untraced.acquisitions, traced.acquisitions);

@@ -252,7 +252,8 @@ TEST(FaultExecutorTest, MissingAttrPropagatesUnknown) {
   Plan plan(PlanNode::Sequential({Predicate(0, 0, 2), Predicate(1, 0, 2)}));
   ScriptedSource src({1, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure()});
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src);
   EXPECT_FALSE(res.defined());
   EXPECT_EQ(res.verdict3, Truth::kUnknown);
   EXPECT_FALSE(res.aborted);
@@ -272,7 +273,8 @@ TEST(FaultExecutorTest, LaterFalseConjunctStillDefinesVerdict) {
       {Predicate(0, 0, 2), Predicate(1, 0, 2), Predicate(2, 3, 3)}));
   ScriptedSource src({1, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure()});
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src);
   EXPECT_TRUE(res.defined());
   EXPECT_EQ(res.verdict3, Truth::kFalse);
   EXPECT_FALSE(res.verdict);
@@ -284,8 +286,9 @@ TEST(FaultExecutorTest, RetryRecoversTransientFailure) {
   Plan plan(PlanNode::Sequential({Predicate(1, 1, 1)}));
   ScriptedSource src({0, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure(), AcquiredValue::Failure()});
-  const ExecutionResult res = ExecutePlan(
-      plan, schema, cm, src, nullptr, DegradationPolicy::Retry(3));
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src, nullptr,
+                  DegradationPolicy::Retry(3));
   EXPECT_TRUE(res.defined());
   EXPECT_TRUE(res.verdict);
   EXPECT_EQ(res.retries, 2);
@@ -300,8 +303,9 @@ TEST(FaultExecutorTest, RetryCostMultiplierScalesRetriesOnly) {
   Plan plan(PlanNode::Sequential({Predicate(1, 1, 1)}));
   ScriptedSource src({0, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure()});
-  const ExecutionResult res = ExecutePlan(
-      plan, schema, cm, src, nullptr, DegradationPolicy::Retry(3, 0.5));
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src, nullptr,
+                  DegradationPolicy::Retry(3, 0.5));
   EXPECT_TRUE(res.defined());
   EXPECT_EQ(res.retries, 1);
   // First attempt full price, retry at half price: 2 + 1.
@@ -315,8 +319,9 @@ TEST(FaultExecutorTest, RetryExhaustionDegradesToUnknown) {
   ScriptedSource src({0, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure(), AcquiredValue::Failure(),
                  AcquiredValue::Failure()});
-  const ExecutionResult res = ExecutePlan(
-      plan, schema, cm, src, nullptr, DegradationPolicy::Retry(3));
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src, nullptr,
+                  DegradationPolicy::Retry(3));
   EXPECT_FALSE(res.defined());
   EXPECT_FALSE(res.aborted);
   EXPECT_EQ(res.retries, 2);
@@ -329,8 +334,9 @@ TEST(FaultExecutorTest, StuckSensorIsNotRetried) {
   Plan plan(PlanNode::Sequential({Predicate(1, 1, 1)}));
   ScriptedSource src({0, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure(/*permanent_failure=*/true)});
-  const ExecutionResult res = ExecutePlan(
-      plan, schema, cm, src, nullptr, DegradationPolicy::Retry(5));
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src, nullptr,
+                  DegradationPolicy::Retry(5));
   EXPECT_FALSE(res.defined());
   EXPECT_EQ(src.calls(), 1);  // no retry against a stuck sensor
   EXPECT_EQ(res.retries, 0);
@@ -343,8 +349,9 @@ TEST(FaultExecutorTest, AbortPolicyStopsAtFirstFailure) {
       {Predicate(1, 0, 5), Predicate(0, 0, 3), Predicate(2, 3, 3)}));
   ScriptedSource src({1, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure()});
-  const ExecutionResult res = ExecutePlan(
-      plan, schema, cm, src, nullptr, DegradationPolicy::Abort());
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src, nullptr,
+                  DegradationPolicy::Abort());
   EXPECT_TRUE(res.aborted);
   EXPECT_FALSE(res.defined());
   EXPECT_EQ(res.verdict3, Truth::kUnknown);
@@ -359,7 +366,8 @@ TEST(FaultExecutorTest, SplitAttrFailureYieldsUnknown) {
                             PlanNode::Verdict(true)));
   ScriptedSource src({1, 1, 0, 0});
   src.Script(0, {AcquiredValue::Failure()});
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src);
   EXPECT_FALSE(res.defined());
   EXPECT_EQ(res.verdict3, Truth::kUnknown);
 }
@@ -373,7 +381,8 @@ TEST(FaultExecutorTest, FailedAttrIsChargedOnlyOnce) {
       {Predicate(1, 0, 5), Predicate(0, 0, 3), Predicate(1, 0, 5)}));
   ScriptedSource src({1, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure(), AcquiredValue::Failure()});
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src);
   EXPECT_FALSE(res.defined());
   // One charge for failed attr 1 (cost 2) + one for attr 0 (cost 1).
   EXPECT_DOUBLE_EQ(res.cost, 2.0 + 1.0);
@@ -388,7 +397,8 @@ TEST(FaultExecutorTest, SpikeMultiplierScalesMarginalCost) {
   AcquiredValue spiked(Value{1});
   spiked.cost_multiplier = 3.0;
   src.Script(1, {spiked});
-  const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
+  const ExecutionResult res =
+      ExecutePlan(CompiledPlan::Compile(plan), schema, cm, src);
   EXPECT_TRUE(res.defined());
   EXPECT_DOUBLE_EQ(res.cost, 3.0 * 2.0);
 }

@@ -131,49 +131,6 @@ TEST(SerdeFuzzTest, RejectedBytesKeepThePreviousPlan) {
   EXPECT_TRUE(mote.RunEpoch(0).has_value());
 }
 
-/// In-test encoder for the legacy recursive tree format (leading byte =
-/// root node kind in 0..3), matching the pre-CompiledPlan SerializeNode
-/// byte-for-byte. DeserializeCompiledPlan must keep accepting these.
-void LegacyEncode(const PlanNode& n, ByteWriter* w) {
-  w->PutU8(static_cast<uint8_t>(n.kind));
-  switch (n.kind) {
-    case PlanNode::Kind::kSplit:
-      w->PutVarint(n.attr);
-      w->PutVarint(n.split_value);
-      LegacyEncode(*n.lt, w);
-      LegacyEncode(*n.ge, w);
-      break;
-    case PlanNode::Kind::kVerdict:
-      w->PutU8(n.verdict ? 1 : 0);
-      break;
-    case PlanNode::Kind::kSequential:
-      w->PutVarint(n.sequence.size());
-      for (const Predicate& p : n.sequence) {
-        w->PutVarint(p.attr);
-        w->PutVarint(p.lo);
-        w->PutVarint(p.hi);
-        w->PutU8(p.negated ? 1 : 0);
-      }
-      break;
-    case PlanNode::Kind::kGeneric: {
-      w->PutVarint(n.acquire_order.size());
-      for (AttrId a : n.acquire_order) w->PutVarint(a);
-      const auto& conjuncts = n.residual_query.conjuncts();
-      w->PutVarint(conjuncts.size());
-      for (const Conjunct& c : conjuncts) {
-        w->PutVarint(c.size());
-        for (const Predicate& p : c) {
-          w->PutVarint(p.attr);
-          w->PutVarint(p.lo);
-          w->PutVarint(p.hi);
-          w->PutU8(p.negated ? 1 : 0);
-        }
-      }
-      break;
-    }
-  }
-}
-
 TEST(SerdeFuzzTest, FlatBytesCarryVersionTag) {
   const std::vector<Plan> corpus = BuildCorpus(SmallSchema());
   for (const Plan& plan : corpus) {
@@ -188,64 +145,14 @@ TEST(SerdeFuzzTest, UnknownVersionBytesAreRejected) {
   const std::vector<Plan> corpus = BuildCorpus(schema);
   for (const Plan& plan : corpus) {
     std::vector<uint8_t> bytes = SerializePlan(plan);
-    // Any leading byte outside {legacy kinds 0..3, 0xCA} is a format error.
-    bytes[0] = 0x77;
-    EXPECT_FALSE(DeserializeCompiledPlan(bytes, schema).ok());
-    bytes[0] = 0xCB;
-    EXPECT_FALSE(DeserializeCompiledPlan(bytes, schema).ok());
-  }
-}
-
-TEST(SerdeFuzzTest, LegacyTreeBytesStillDecode) {
-  const Schema schema = SmallSchema();
-  const std::vector<Plan> corpus = BuildCorpus(schema);
-  for (const Plan& plan : corpus) {
-    ByteWriter w;
-    LegacyEncode(plan.root(), &w);
-    const Result<CompiledPlan> decoded =
-        DeserializeCompiledPlan(w.bytes(), schema);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_TRUE(PlanIsWellFormed(*decoded, schema));
-    // The legacy decode and a direct compile agree on every tuple.
-    const CompiledPlan direct = CompiledPlan::Compile(plan);
-    Tuple t(schema.num_attributes(), 0);
-    while (true) {
-      EXPECT_EQ(decoded->VerdictFor(t), direct.VerdictFor(t));
-      size_t a = 0;
-      for (; a < t.size(); ++a) {
-        if (++t[a] < schema.domain_size(static_cast<AttrId>(a))) break;
-        t[a] = 0;
-      }
-      if (a == t.size()) break;
+    // Any leading byte but 0xCA is a format error, including the node kinds
+    // 0..3 that the retired recursive tree encoding began with.
+    const uint8_t kBadVersions[] = {0x00, 0x01, 0x02, 0x03, 0x77, 0xCB};
+    for (const uint8_t version : kBadVersions) {
+      bytes[0] = version;
+      EXPECT_FALSE(DeserializeCompiledPlan(bytes, schema).ok()) << +version;
     }
   }
-}
-
-TEST(SerdeFuzzTest, MutatedLegacyBytesNeverCrashOrInstallMalformedPlans) {
-  const Schema schema = SmallSchema();
-  PerAttributeCostModel cm(schema);
-  const std::vector<Plan> corpus = BuildCorpus(schema);
-
-  size_t rejected = 0;
-  for (uint64_t seed = 100; seed <= 140; ++seed) {
-    Rng rng(seed);
-    for (const Plan& plan : corpus) {
-      ByteWriter w;
-      LegacyEncode(plan.root(), &w);
-      for (int round = 0; round < 40; ++round) {
-        const std::vector<uint8_t> mutated = Mutate(w.bytes(), rng);
-        Mote mote(0, schema, cm, [](size_t, AttrId) { return Value{0}; });
-        if (mote.ReceivePlanBytes(mutated).ok()) {
-          ASSERT_NE(mote.installed_plan(), nullptr);
-          EXPECT_TRUE(PlanIsWellFormed(*mote.installed_plan(), schema));
-          EXPECT_TRUE(mote.RunEpoch(0).has_value());
-        } else {
-          ++rejected;
-        }
-      }
-    }
-  }
-  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@
 #ifndef CAQP_TESTS_TEST_UTIL_H_
 #define CAQP_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/dataset.h"
 #include "core/query.h"
+#include "exec/executor.h"
+#include "plan/plan.h"
 #include "prob/estimator.h"
 #include "prob/subproblem.h"
 
@@ -135,6 +138,109 @@ class BruteForceEstimator : public CondProbEstimator {
  private:
   const Dataset& data_;
 };
+
+/// Differential oracle for the flat executor: a plain walk down the
+/// pointer tree with ExecutePlan's acquisition, charging and degradation
+/// semantics written out once more, and no trace, profile or obs hooks.
+/// ExecutePlan on the compiled plan must match it bit for bit, cost
+/// included.
+inline ExecutionResult ReferenceExecute(const Plan& plan, const Schema& schema,
+                                        const AcquisitionCostModel& cost_model,
+                                        AcquisitionSource& source,
+                                        const DegradationPolicy& policy = {}) {
+  ExecutionResult out;
+  std::vector<Value> values(schema.num_attributes(), 0);
+  const int max_attempts =
+      policy.mode == DegradationPolicy::Mode::kRetry
+          ? std::max(1, policy.max_attempts)
+          : 1;
+
+  // Every attempt is charged; a failed attribute is never retried later.
+  auto acquire = [&](AttrId a, Value* v) -> bool {
+    if (out.acquired.Contains(a)) {
+      *v = values[a];
+      return true;
+    }
+    if (out.failed.Contains(a)) return false;
+    for (int attempt = 0; attempt < max_attempts; ++attempt) {
+      const AcquiredValue av = source.Acquire(a);
+      double marginal = cost_model.Cost(a, out.acquired) * av.cost_multiplier;
+      if (attempt > 0) {
+        marginal *= policy.retry_cost_multiplier;
+        ++out.retries;
+      }
+      out.cost += marginal;
+      if (av.ok) {
+        out.acquired.Insert(a);
+        ++out.acquisitions;
+        values[a] = av.value;
+        *v = av.value;
+        return true;
+      }
+      if (av.permanent) break;
+    }
+    out.failed.Insert(a);
+    return false;
+  };
+  // Marks the verdict Unknown; true when kAbort must stop execution.
+  auto degrade = [&]() -> bool {
+    out.verdict3 = Truth::kUnknown;
+    out.aborted = policy.mode == DegradationPolicy::Mode::kAbort;
+    return out.aborted;
+  };
+
+  const PlanNode* n = &plan.root();
+  Value v = 0;
+  while (n->kind == PlanNode::Kind::kSplit) {
+    if (!acquire(n->attr, &v)) {
+      (void)degrade();
+      out.verdict = false;
+      return out;
+    }
+    n = v >= n->split_value ? n->ge.get() : n->lt.get();
+  }
+  Truth t = Truth::kTrue;
+  switch (n->kind) {
+    case PlanNode::Kind::kVerdict:
+      t = n->verdict ? Truth::kTrue : Truth::kFalse;
+      break;
+    case PlanNode::Kind::kSequential:
+      for (const Predicate& p : n->sequence) {
+        if (!acquire(p.attr, &v)) {
+          if (degrade()) break;
+          t = Truth::kUnknown;
+        } else if (!p.Matches(v)) {
+          t = Truth::kFalse;
+          break;
+        }
+      }
+      break;
+    case PlanNode::Kind::kGeneric: {
+      RangeVec ranges = schema.FullRanges();
+      for (size_t a = 0; a < schema.num_attributes(); ++a) {
+        if (out.acquired.Contains(static_cast<AttrId>(a))) {
+          ranges[a] = ValueRange{values[a], values[a]};
+        }
+      }
+      t = n->residual_query.EvaluateOnRanges(ranges);
+      for (const AttrId a : n->acquire_order) {
+        if (t != Truth::kUnknown) break;
+        if (!acquire(a, &v)) {
+          if (degrade()) break;
+          continue;
+        }
+        ranges[a] = ValueRange{v, v};
+        t = n->residual_query.EvaluateOnRanges(ranges);
+      }
+      break;
+    }
+    case PlanNode::Kind::kSplit:
+      break;
+  }
+  if (!out.aborted) out.verdict3 = t;
+  out.verdict = out.verdict3 == Truth::kTrue;
+  return out;
+}
 
 /// Random valid sub-ranges of the schema's domains.
 inline RangeVec RandomRanges(const Schema& schema, Rng& rng,

@@ -47,7 +47,7 @@ TEST(UmbrellaTest, QuickstartFlowWorks) {
 
   // Serialize -> radio -> deserialize -> execute.
   const auto bytes = SerializePlan(plan);
-  auto back = DeserializePlan(bytes, schema);
+  auto back = DeserializeCompiledPlan(bytes, schema);
   ASSERT_TRUE(back.ok());
   Tuple tonight = {0, 0, 1};
   TupleSource src(tonight);
